@@ -280,17 +280,16 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
     Both sides start from the same fully warm trace cache, so neither
     simulates anything — the comparison isolates the evaluation layer.
     The *object* side re-decodes the recorded stream into IssueGroup
-    objects and walks them through evaluator method calls; the *batch*
-    side memory-maps the packed sidecar and runs the fused per-policy
-    kernels over flat arrays.  The object path is the reference oracle:
-    every cell and every statistics row must be bit-identical or this
-    benchmark raises.
+    objects and walks them through evaluator method calls; the
+    *batch-np* side memory-maps the packed sidecar and runs one columnar
+    kernel per policy over flat arrays.  The object path is the
+    reference oracle: every cell and every statistics row must be
+    bit-identical or this benchmark raises.
     """
     import shutil
     import tempfile
 
     from repro.analysis.energy import run_figure4
-    from repro.batch import numpy_available
     from repro.workloads import workload
 
     names = ["compress", "li"] if quick else ["compress", "li", "go", "cc1"]
@@ -298,47 +297,33 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
     modes = ("none", "hw", "compiler", "hw+compiler")
     loads = [workload(name) for name in names]
     fu = FUClass.IALU
-    have_numpy = numpy_available()
+
+    def run(engine):
+        return run_figure4(fu, workloads=loads, schemes=schemes,
+                           swap_modes=modes, trace_cache_dir=cache_dir,
+                           engine=engine)
 
     cache_dir = tempfile.mkdtemp(prefix="bench-batch-cache-")
     try:
         # warm: simulates each program version once, records the trace,
-        # and writes the packed sidecar the batch side memory-maps
-        run_figure4(fu, workloads=loads, schemes=schemes, swap_modes=modes,
-                    trace_cache_dir=cache_dir, engine="batch")
-        if have_numpy:
-            # untimed priming run so numpy's import and first-touch
-            # costs don't land in the first timed batch-np repeat
-            run_figure4(fu, workloads=loads, schemes=schemes,
-                        swap_modes=modes, trace_cache_dir=cache_dir,
-                        engine="batch-np")
+        # and writes the packed sidecar the batch side memory-maps; this
+        # untimed run also keeps numpy's first-touch costs out of the
+        # first timed batch-np repeat
+        run("batch-np")
 
-        object_wall = batch_wall = batch_np_wall = None
-        obj = bat = npr = None
+        object_wall = batch_np_wall = None
+        obj = npr = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
-            obj = run_figure4(fu, workloads=loads, schemes=schemes,
-                              swap_modes=modes, trace_cache_dir=cache_dir,
-                              engine="object")
+            obj = run("object")
             elapsed = time.perf_counter() - start
             if object_wall is None or elapsed < object_wall:
                 object_wall = elapsed
             start = time.perf_counter()
-            bat = run_figure4(fu, workloads=loads, schemes=schemes,
-                              swap_modes=modes, trace_cache_dir=cache_dir,
-                              engine="batch")
+            npr = run("batch-np")
             elapsed = time.perf_counter() - start
-            if batch_wall is None or elapsed < batch_wall:
-                batch_wall = elapsed
-            if have_numpy:
-                start = time.perf_counter()
-                npr = run_figure4(fu, workloads=loads, schemes=schemes,
-                                  swap_modes=modes,
-                                  trace_cache_dir=cache_dir,
-                                  engine="batch-np")
-                elapsed = time.perf_counter() - start
-                if batch_np_wall is None or elapsed < batch_np_wall:
-                    batch_np_wall = elapsed
+            if batch_np_wall is None or elapsed < batch_np_wall:
+                batch_np_wall = elapsed
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -347,28 +332,20 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
                       cell.hardware_swaps)
                 for key, cell in result.cells.items()}
 
-    for contender, label in ((bat, "batch"), (npr, "batch-np")):
-        if contender is None:
-            continue
-        if _cells(obj) != _cells(contender) \
-                or repr(obj.statistics) != repr(contender.statistics) \
-                or obj.per_workload != contender.per_workload:
-            raise AssertionError(f"{label} engine diverged from the "
-                                 "object-path reference oracle")
+    if _cells(obj) != _cells(npr) \
+            or repr(obj.statistics) != repr(npr.statistics) \
+            or obj.per_workload != npr.per_workload:
+        raise AssertionError("batch-np engine diverged from the "
+                             "object-path reference oracle")
     return {
         "workloads": names,
         "schemes": list(schemes),
         "swap_modes": list(modes),
-        "numpy_available": have_numpy,
         "object_wall_seconds": round(object_wall, 6),
-        "batch_wall_seconds": round(batch_wall, 6),
-        "batch_np_wall_seconds": (round(batch_np_wall, 6)
-                                  if batch_np_wall is not None else None),
+        "batch_np_wall_seconds": round(batch_np_wall, 6),
         "object_simulations": obj.simulations,
-        "batch_simulations": bat.simulations,
-        "batch_speedup": round(object_wall / batch_wall, 2),
-        "batch_np_speedup": (round(object_wall / batch_np_wall, 2)
-                             if batch_np_wall is not None else None),
+        "batch_simulations": npr.simulations,
+        "batch_np_speedup": round(object_wall / batch_np_wall, 2),
     }
 
 
@@ -409,17 +386,11 @@ def main(argv=None) -> int:
                         default=None, metavar="X",
                         help="exit 1 if the warm-cache figure-4 run is not "
                              "at least X times faster than the all-live run")
-    parser.add_argument("--assert-batch-speedup", type=float,
-                        default=None, metavar="X",
-                        help="exit 1 if the batch engine is not at least X "
-                             "times faster than the object path on the same "
-                             "warm cache")
     parser.add_argument("--assert-batch-np-speedup", type=float,
                         default=None, metavar="X",
-                        help="exit 1 if the NumPy batch engine is not at "
-                             "least X times faster than the object path "
-                             "(fails when numpy is unavailable: the gate "
-                             "is meaningless without the backend)")
+                        help="exit 1 if the batch-np engine is not at "
+                             "least X times faster than the object path on "
+                             "the same warm cache")
     parser.add_argument("--assert-peak-rss-mb", type=float,
                         default=None, metavar="MB",
                         help="exit 1 if the benchmark process's peak RSS "
@@ -492,16 +463,10 @@ def main(argv=None) -> int:
               f"  speedup {replay['speedup']:.2f}x")
         batch = bench_batch_replay(args.quick, repeats=repeats)
         summary["figure4_batch"] = batch
-        if batch["batch_np_speedup"] is not None:
-            np_part = (f"  batch-np {batch['batch_np_wall_seconds']:.3f}s"
-                       f" ({batch['batch_np_speedup']:.2f}x)")
-        else:
-            np_part = "  batch-np n/a (no numpy)"
         print(f"{'figure4-batch':<24} object"
               f" {batch['object_wall_seconds']:.3f}s"
-              f"  batch {batch['batch_wall_seconds']:.3f}s"
-              f"  speedup {batch['batch_speedup']:.2f}x"
-              + np_part)
+              f"  batch-np {batch['batch_np_wall_seconds']:.3f}s"
+              f"  speedup {batch['batch_np_speedup']:.2f}x")
     summary["peak_rss_mb"] = round(peak_rss_mb(), 1)
     print(f"{'peak-rss':<24} {summary['peak_rss_mb']:.1f} MiB")
     baseline = None
@@ -527,30 +492,14 @@ def main(argv=None) -> int:
                   f" below the {args.assert_replay_speedup:.1f}x floor",
                   file=sys.stderr)
             failed = True
-    if args.assert_batch_speedup is not None:
-        batch = summary.get("figure4_batch")
-        if batch is None:
-            print("FAIL: --assert-batch-speedup needs the figure-4 "
-                  "section (drop --no-figure4)", file=sys.stderr)
-            failed = True
-        elif batch["batch_speedup"] < args.assert_batch_speedup:
-            print(f"FAIL: batch-engine speedup {batch['batch_speedup']:.2f}x"
-                  f" below the {args.assert_batch_speedup:.1f}x floor",
-                  file=sys.stderr)
-            failed = True
     if args.assert_batch_np_speedup is not None:
         batch = summary.get("figure4_batch")
         if batch is None:
             print("FAIL: --assert-batch-np-speedup needs the figure-4 "
                   "section (drop --no-figure4)", file=sys.stderr)
             failed = True
-        elif batch["batch_np_speedup"] is None:
-            print("FAIL: --assert-batch-np-speedup set but numpy is "
-                  "unavailable, so the NumPy backend never ran",
-                  file=sys.stderr)
-            failed = True
         elif batch["batch_np_speedup"] < args.assert_batch_np_speedup:
-            print(f"FAIL: NumPy batch-engine speedup "
+            print(f"FAIL: batch-np engine speedup "
                   f"{batch['batch_np_speedup']:.2f}x below the "
                   f"{args.assert_batch_np_speedup:.1f}x floor",
                   file=sys.stderr)

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..batch import (ENGINE_BACKENDS, ENGINES, drive_stream, packed_cached,
-                     resolve_engine)
+from ..batch import drive_stream, packed_cached, resolve_engine
 from ..compiler import swap_optimize
 from ..cpu.config import MachineConfig, default_config
 from ..core.info_bits import InfoBitScheme, scheme_for
@@ -168,18 +167,15 @@ def _captured_stream(program: Program, config: MachineConfig,
     key is replayed instead, and a miss both simulates and populates the
     cache.  Returns ``(stream, cache_hit)``.
 
-    With the batch engines the stream comes back as a
+    With ``"batch-np"`` the stream comes back as a
     :class:`~repro.batch.columns.PackedTrace` (mmapped from the cache
     sidecar on a warm hit — the gzip JSON trace is not parsed at all)
-    stamped with the engine's kernel backend (``"batch-np"`` →
-    vectorized NumPy kernels, ``"batch"`` → pure Python);
-    ``"object"`` keeps the classic decoded stream as the reference path.
+    for the columnar kernels; ``"object"`` keeps the classic decoded
+    stream as the reference path.
     """
     fu_classes = (fu_class,)
-    if engine in ENGINE_BACKENDS:
-        packed, hit = packed_cached(program, config, cache_dir, fu_classes)
-        packed.backend = ENGINE_BACKENDS[engine]
-        return packed, hit
+    if engine == "batch-np":
+        return packed_cached(program, config, cache_dir, fu_classes)
     if cache_dir is not None:
         found = cached_source(program, config, cache_dir, fu_classes)
         if found is not None:
@@ -246,11 +242,10 @@ def run_figure4(fu_class: FUClass,
     the run, never evicting an entry this run just used.
 
     ``engine`` picks the evaluation path: ``"auto"`` (default) resolves
-    to ``"batch-np"`` — the fused columnar kernels vectorized on NumPy
-    — when NumPy is importable, else ``"batch"`` (the same kernels in
-    pure Python); ``"object"`` is the classic decoded-stream loop, kept
-    as the reference oracle the parity tests compare against.  All
-    engines produce bit-identical results.  ``jobs`` > 1 fans the
+    to ``"batch-np"`` — one columnar NumPy kernel per steering family;
+    ``"object"`` is the classic decoded-stream loop, kept as the
+    reference oracle the parity tests compare against.  Both engines
+    produce bit-identical results.  ``jobs`` > 1 fans the
     per-workload replay work across a process pool (results merge
     deterministically, so the output is byte-stable regardless of the
     job count).

@@ -1,865 +1,40 @@
-"""Fused columnar evaluation kernels.
+"""The columnar drive loop.
 
 :func:`batch_drive` is the columnar twin of :func:`repro.streams.drive`:
-it runs a set of stream consumers over a :class:`PackedTrace`, using a
-specialised kernel per consumer type where one exists and falling back
-to a single shared object-decoding pass for everything else.  Kernels
-write their results **into the consumers' existing state** (power-model
-inputs and totals, evaluator counters, collector rows), so ``totals()``,
-telemetry collectors, and every downstream aggregation work unchanged —
-the object path remains the reference oracle and the parity tests in
-``tests/batch`` hold the two bit-identical.
-
-What makes the kernels fast is exactly what the issue promises:
-
-* per-module previous-operand state lives in local lists, not MicroOp
-  or power-model attribute access;
-* information-bit cases come from the precomputed ``case`` column;
-* popcounts go through :data:`POPCOUNT16`, a 16-bit table (or the
-  native ``int.bit_count`` where that is faster);
-* telemetry case counters accumulate in kernel locals and flush once
-  per run instead of once per op.
-
-Semantics replicated exactly (see the evaluator/collector sources):
-the clamp-to-module-count *after* the speculative filter for deferred
-evaluators, first-best tie-breaking in the brute-force matcher (via
-:func:`repro.core.assignment.solve` itself), the round-robin rotation
-advancing once per non-empty group, and the LUT spare-module remapping
-(shared with the object path through ``LUTPolicy._assign_cases``).
+it runs a set of stream consumers over a :class:`PackedTrace`, using the
+consumer's kernel from :mod:`repro.batch.kernels_np` where one applies
+and a single shared object-decoding pass for everything else.  Kernels
+write their results into the consumers' existing state, so the two
+paths are interchangeable — the object path remains the reference
+oracle and the parity tests in ``tests/batch`` hold them bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Sequence
 
-from ..core.assignment import _BRUTE_FORCE_LIMIT, solve as _solve
-from ..core.power import FUPowerModel
-from ..core.registry import REGISTRY
-from ..core.steering import LUTPolicy, PolicyEvaluator
-from ..core.swapping import HardwareSwapper
-from ..isa.encoding import bit_count as _native_bit_count
-
-if TYPE_CHECKING:  # runtime-lazy: analysis itself imports this package
-    from ..analysis.bit_patterns import BitPatternCollector
-    from ..analysis.module_usage import ModuleUsageCollector
-from .columns import (F_HAS_TWO, F_HW_SWAP, F_SPEC, PackedColumns,
-                      PackedTrace, SWAPPED_CASE)
-
-#: popcount of every 16-bit value — the classic table the issue calls
-#: for; on 3.11+ ``int.bit_count`` beats the double lookup, so the
-#: kernels take whichever is faster for the running interpreter.
-POPCOUNT16 = bytes(bin(value).count("1") for value in range(1 << 16))
-
-
-def _table_bit_count(value: int, _table=POPCOUNT16) -> int:
-    """Popcount via :data:`POPCOUNT16` (for up to 64-bit masked images)."""
-    return (_table[value & 0xFFFF] + _table[(value >> 16) & 0xFFFF]
-            + _table[(value >> 32) & 0xFFFF] + _table[(value >> 48) & 0xFFFF])
-
-
-def _pick_bit_count() -> Callable[[int], int]:
-    if hasattr(int, "bit_count"):  # 3.10+: a single C call wins
-        return _native_bit_count
-    return _table_bit_count
-
-
-_bit_count = _pick_bit_count()
-
-
-# ----- evaluator kernels ------------------------------------------------------
-
-
-def _select_groups(cols: PackedColumns, num_modules: int,
-                   exclude_spec: bool):
-    """Yield per-group index lists after the evaluator's filter/clamp.
-
-    Inclusive evaluators clamp the raw group to ``num_modules``;
-    deferred (wrong-path-excluding) evaluators filter speculative ops
-    *first*, then clamp — exactly ``_account_ops``'s order.  Groups
-    with nothing left are skipped entirely (``cycles_seen`` untouched).
-    """
-    offsets = cols.offsets
-    flags = cols.flags
-    for g in range(cols.n_groups):
-        start = offsets[g]
-        end = offsets[g + 1]
-        if start == end:
-            continue
-        if exclude_spec:
-            sel = [i for i in range(start, end) if not (flags[i] & F_SPEC)]
-            if not sel:
-                continue
-            if len(sel) > num_modules:
-                del sel[num_modules:]
-            yield sel
-        else:
-            if end - start > num_modules:
-                end = start + num_modules
-            yield range(start, end)
-
-
-class _EvalContext:
-    """Shared per-evaluator kernel state: hoisted power-model locals,
-    pre-swap configuration, and telemetry accumulators."""
-
-    __slots__ = ("ev", "cols", "power", "nm", "mask", "prev1", "prev2",
-                 "track", "track_ops", "swapper", "swap_case", "telemetry",
-                 "tcounts", "total_bits", "total_ops", "cycles_seen",
-                 "router_swaps", "pre_swaps")
-
-    def __init__(self, ev: PolicyEvaluator, cols: PackedColumns):
-        self.ev = ev
-        self.cols = cols
-        power = self.power = ev.power
-        self.nm = power.num_modules
-        self.mask = power._mask
-        self.prev1 = [pair[0] for pair in power._inputs]
-        self.prev2 = [pair[1] for pair in power._inputs]
-        self.track = power.module_switched_bits
-        self.track_ops = power.module_operations
-        self.swapper = ev.pre_swapper
-        self.swap_case = (self.swapper.swap_from_case
-                          if self.swapper is not None else -1)
-        self.telemetry = ev.telemetry is not None
-        self.tcounts = [0, 0, 0, 0]
-        self.total_bits = 0
-        self.total_ops = 0
-        self.cycles_seen = 0
-        self.router_swaps = 0
-        self.pre_swaps = 0
-
-    def flush(self) -> None:
-        """Write the kernel's accumulators back into the evaluator."""
-        ev = self.ev
-        power = self.power
-        power._inputs = list(zip(self.prev1, self.prev2))
-        power.switched_bits += self.total_bits
-        power.operations += self.total_ops
-        ev.cycles_seen += self.cycles_seen
-        if self.swapper is not None:
-            self.swapper.swaps_performed += self.pre_swaps
-        if self.telemetry:
-            counts = ev._case_counts
-            for case in range(4):
-                counts[case] += self.tcounts[case]
-            ev._ops_seen += self.total_ops
-            ev._swaps_seen += self.router_swaps
-
-
-def _run_positional(ev: PolicyEvaluator, cols: PackedColumns,
-                    round_robin: bool) -> None:
-    """Original (op k -> module k) and round-robin steering, fused."""
-    ctx = _EvalContext(ev, cols)
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    rr_next = ev.policy._next if round_robin else 0
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        k = 0
-        for i in sel:
-            o1 = op1c[i]
-            o2 = op2c[i]
-            case = casec[i]
-            if swapping and (flagsc[i] & F_HW_SWAP) and case == swap_case:
-                o1, o2 = o2, o1
-                case = swc[case]
-                pre_swaps += 1
-            module = (rr_next + k) % nm if round_robin else k
-            cost = (bc((prev1[module] ^ o1) & mask)
-                    + bc((prev2[module] ^ o2) & mask))
-            prev1[module] = o1
-            prev2[module] = o2
-            total_bits += cost
-            if track is not None:
-                track[module] += cost
-                track_ops[module] += 1
-            if tel:
-                tcounts[case] += 1
-            k += 1
-        total_ops += k
-        if round_robin:
-            rr_next = (rr_next + k) % nm
-
-    if round_robin:
-        ev.policy._next = rr_next
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
-    ctx.flush()
-
-
-def _run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """Table-driven LUT steering with an int-keyed assignment cache."""
-    ctx = _EvalContext(ev, cols)
-    policy: LUTPolicy = ev.policy
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    vector_ops = policy._vector_ops
-    # (length + case bits) -> modules tuple; length determines how many
-    # cases are folded in, so the packed key is collision-free
-    table = {}
-    g1: List[int] = []
-    g2: List[int] = []
-    gc: List[int] = []
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        if swapping:
-            del g1[:], g2[:], gc[:]
-            for i in sel:
-                o1 = op1c[i]
-                o2 = op2c[i]
-                case = casec[i]
-                if (flagsc[i] & F_HW_SWAP) and case == swap_case:
-                    o1, o2 = o2, o1
-                    case = swc[case]
-                    pre_swaps += 1
-                g1.append(o1)
-                g2.append(o2)
-                gc.append(case)
-            n = len(gc)
-            key = n
-            for case in gc[:vector_ops]:
-                key = (key << 2) | case
-            modules = table.get(key)
-            if modules is None:
-                modules = policy._assign_cases(tuple(gc[:vector_ops]),
-                                               n, nm).modules
-                table[key] = modules
-            for k in range(n):
-                module = modules[k]
-                o1 = g1[k]
-                o2 = g2[k]
-                cost = (bc((prev1[module] ^ o1) & mask)
-                        + bc((prev2[module] ^ o2) & mask))
-                prev1[module] = o1
-                prev2[module] = o2
-                total_bits += cost
-                if track is not None:
-                    track[module] += cost
-                    track_ops[module] += 1
-                if tel:
-                    tcounts[gc[k]] += 1
-            total_ops += n
-        else:
-            # no pre-swapper: steer straight off the case column, no
-            # per-group scratch lists at all
-            n = len(sel)
-            key = n
-            taken = 0
-            for i in sel:
-                if taken == vector_ops:
-                    break
-                key = (key << 2) | casec[i]
-                taken += 1
-            modules = table.get(key)
-            if modules is None:
-                cases = tuple(casec[i] for i in sel)[:vector_ops]
-                modules = policy._assign_cases(cases, n, nm).modules
-                table[key] = modules
-            k = 0
-            for i in sel:
-                module = modules[k]
-                o1 = op1c[i]
-                o2 = op2c[i]
-                cost = (bc((prev1[module] ^ o1) & mask)
-                        + bc((prev2[module] ^ o2) & mask))
-                prev1[module] = o1
-                prev2[module] = o2
-                total_bits += cost
-                if track is not None:
-                    track[module] += cost
-                    track_ops[module] += 1
-                if tel:
-                    tcounts[casec[i]] += 1
-                k += 1
-            total_ops += n
-
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
-    ctx.flush()
-
-
-def _match(costs: List[List[int]], n: int, nm: int,
-           perms_by_n: Dict[int, List[Tuple[int, ...]]]
-           ) -> Tuple[int, ...]:
-    """Minimum-cost injective matching with the exact tie-breaking of
-    :func:`repro.core.assignment.solve`.
-
-    In the brute-force regime (``nm <= 6``, like ``solve``) the lex-order
-    strict-< scan is inlined with monotone partial-sum pruning — the
-    winner is the lexicographically smallest minimum-total permutation
-    either way, so pruning cannot change the result (costs are
-    non-negative).  Wider machines delegate to ``solve`` itself.
-    """
-    if n == 1:
-        row = costs[0]
-        best = 0
-        best_cost = row[0]
-        for m in range(1, nm):
-            if row[m] < best_cost:
-                best_cost = row[m]
-                best = m
-        return (best,)
-    if nm > _BRUTE_FORCE_LIMIT:
-        return _solve(costs)[0]
-    perms = perms_by_n.get(n)
-    if perms is None:
-        perms = list(itertools.permutations(range(nm), n))
-        perms_by_n[n] = perms
-    best_perm = perms[0]
-    best_total = 0
-    for k in range(n):
-        best_total += costs[k][best_perm[k]]
-    for index in range(1, len(perms)):
-        perm = perms[index]
-        total = 0
-        for k in range(n):
-            total += costs[k][perm[k]]
-            if total >= best_total:
-                break
-        else:
-            best_total = total
-            best_perm = perm
-    return best_perm
-
-
-def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """Full-width Hamming matcher: cost matrix from kernel locals."""
-    ctx = _EvalContext(ev, cols)
-    allow_swap = ev.policy.allow_swap
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    modrange = range(nm)
-    perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    router_swaps = 0
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        g1: List[int] = []
-        g2: List[int] = []
-        gc: List[int] = []
-        costs: List[List[int]] = []
-        swaps: List[Optional[List[bool]]] = []
-        for i in sel:
-            o1 = op1c[i]
-            o2 = op2c[i]
-            case = casec[i]
-            fl = flagsc[i]
-            if swapping and (fl & F_HW_SWAP) and case == swap_case:
-                o1, o2 = o2, o1
-                case = swc[case]
-                pre_swaps += 1
-            g1.append(o1)
-            g2.append(o2)
-            gc.append(case)
-            if allow_swap and (fl & F_HW_SWAP):
-                row = []
-                row_swaps = []
-                for m in modrange:
-                    p1 = prev1[m]
-                    p2 = prev2[m]
-                    direct = bc((o1 ^ p1) & mask) + bc((o2 ^ p2) & mask)
-                    exchanged = bc((o2 ^ p1) & mask) + bc((o1 ^ p2) & mask)
-                    if exchanged < direct:
-                        row.append(exchanged)
-                        row_swaps.append(True)
-                    else:
-                        row.append(direct)
-                        row_swaps.append(False)
-                swaps.append(row_swaps)
-            else:
-                row = [bc((o1 ^ prev1[m]) & mask) + bc((o2 ^ prev2[m]) & mask)
-                       for m in modrange]
-                swaps.append(None)
-            costs.append(row)
-        n = len(g1)
-        modules = _match(costs, n, nm, perms_by_n)
-        for k in range(n):
-            module = modules[k]
-            row_swaps = swaps[k]
-            if row_swaps is not None and row_swaps[module]:
-                o1 = g2[k]
-                o2 = g1[k]
-                router_swaps += 1
-            else:
-                o1 = g1[k]
-                o2 = g2[k]
-            cost = costs[k][module]
-            prev1[module] = o1
-            prev2[module] = o2
-            total_bits += cost
-            if track is not None:
-                track[module] += cost
-                track_ops[module] += 1
-            if tel:
-                tcounts[gc[k]] += 1
-        total_ops += n
-
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
-    ctx.router_swaps = router_swaps
-    ctx.flush()
-
-
-def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
-                    pb1: int, pb2: int, nm: int, modrange,
-                    perms_by_n: Dict[int, List[Tuple[int, ...]]]
-                    ) -> Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]:
-    """One 1-bit-Hamming group decision from the memo-miss path.
-
-    Given the group's (post-pre-swap) cases, per-op swappability, and
-    the packed per-module info-bit state, build the 1-bit cost matrix,
-    match, and recover the router swaps exactly as ``cost_matrix``
-    chose them.  Returns ``(modules, chosen_swaps, next_pb1, next_pb2)``
-    — shared verbatim by the Python and NumPy backends so the memoised
-    decision layer cannot drift between them.
-    """
-    n = len(gc)
-    costs: List[List[int]] = []
-    for k in range(n):
-        case = gc[k]
-        b1 = (case >> 1) & 1
-        b2 = case & 1
-        row = []
-        for m in modrange:
-            p1 = (pb1 >> m) & 1
-            p2 = (pb2 >> m) & 1
-            direct = abs(b1 - p1) + abs(b2 - p2)
-            if gsw[k]:
-                exchanged = abs(b2 - p1) + abs(b1 - p2)
-                if exchanged < direct:
-                    row.append(exchanged)
-                    continue
-            row.append(direct)
-        costs.append(row)
-    modules = _match(costs, n, nm, perms_by_n)
-    chosen_swaps = []
-    next_pb1 = pb1
-    next_pb2 = pb2
-    for k in range(n):
-        module = modules[k]
-        case = gc[k]
-        b1 = (case >> 1) & 1
-        b2 = case & 1
-        swap = False
-        if gsw[k]:
-            # against the group-start state, like the matrix
-            p1 = (pb1 >> module) & 1
-            p2 = (pb2 >> module) & 1
-            # the matrix keeps only the best cost per cell; recover the
-            # swap exactly as cost_matrix chose it
-            swap = (abs(b2 - p1) + abs(b1 - p2)
-                    < abs(b1 - p1) + abs(b2 - p2))
-        chosen_swaps.append(swap)
-        bit = 1 << module
-        new1, new2 = (b2, b1) if swap else (b1, b2)
-        next_pb1 = (next_pb1 & ~bit) | (new1 << module)
-        next_pb2 = (next_pb2 & ~bit) | (new2 << module)
-    return modules, tuple(chosen_swaps), next_pb1, next_pb2
-
-
-def _run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """1-bit Hamming matcher with exact decision memoisation.
-
-    The matcher's entire decision — module choice and router swaps —
-    is a function of each op's (case, swappable) and each module's
-    previous information-bit pair: at most 3 bits per op plus 2 bits
-    per module.  That tiny state space is memoised as packed-int keys,
-    so steady-state groups skip the cost matrix and matching entirely.
-    Accounting remains full-width against the raw latched images,
-    exactly like the object path.
-    """
-    ctx = _EvalContext(ev, cols)
-    policy = ev.policy
-    allow_swap = policy.allow_swap
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    modrange = range(nm)
-    perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
-    # (ops' case/swappable codes + module info-bit masks) -> decision
-    decisions: Dict[int, Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]] \
-        = {}
-    extract = policy.scheme.extract
-    pb1 = 0  # bit m = info bit of module m's latched first operand
-    pb2 = 0
-    for m in modrange:
-        pb1 |= extract(prev1[m]) << m
-        pb2 |= extract(prev2[m]) << m
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    router_swaps = 0
-    gidx: List[int] = []
-    gc: List[int] = []
-    gpre: List[bool] = []
-    gsw: List[bool] = []
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        del gidx[:], gc[:], gpre[:], gsw[:]
-        key = 0
-        for i in sel:
-            case = casec[i]
-            fl = flagsc[i]
-            pre = bool(swapping and (fl & F_HW_SWAP) and case == swap_case)
-            if pre:
-                case = swc[case]
-                pre_swaps += 1
-            swappable = bool(allow_swap and (fl & F_HW_SWAP))
-            gidx.append(i)
-            gc.append(case)
-            gpre.append(pre)
-            gsw.append(swappable)
-            key = (key << 3) | (case << 1) | swappable
-        n = len(gidx)
-        key = ((((key << nm) | pb1) << nm) | pb2) << 6 | n
-        decision = decisions.get(key)
-        if decision is None:
-            decision = _one_bit_decide(gc, gsw, pb1, pb2, nm, modrange,
-                                       perms_by_n)
-            decisions[key] = decision
-        modules, chosen_swaps, pb1, pb2 = decision
-        for k in range(n):
-            module = modules[k]
-            i = gidx[k]
-            # a pre-swap exchanged the operands before the matcher; a
-            # router swap exchanges them again — the net order is raw
-            # when both (or neither) fired
-            if chosen_swaps[k]:
-                router_swaps += 1
-            if chosen_swaps[k] != gpre[k]:
-                o1 = op2c[i]
-                o2 = op1c[i]
-            else:
-                o1 = op1c[i]
-                o2 = op2c[i]
-            cost = (bc((prev1[module] ^ o1) & mask)
-                    + bc((prev2[module] ^ o2) & mask))
-            prev1[module] = o1
-            prev2[module] = o2
-            total_bits += cost
-            if track is not None:
-                track[module] += cost
-                track_ops[module] += 1
-            if tel:
-                tcounts[gc[k]] += 1
-        total_ops += n
-
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
-    ctx.router_swaps = router_swaps
-    ctx.flush()
-
-
-#: sentinel from the eligibility gates: the consumer is kernel-eligible
-#: but the packed trace holds nothing of its FU class (a no-op run)
-_EMPTY = object()
-
-
-def _evaluator_cols(ev: PolicyEvaluator, packed: PackedTrace):
-    """Shared (Python/NumPy backend) eligibility gate for evaluators.
-
-    Returns the :class:`PackedColumns` to run over, :data:`_EMPTY` when
-    the trace holds nothing of the evaluator's FU class, or ``None``
-    when its configuration needs the object path (fault injectors,
-    tracers, custom schemes/power models).
-    """
-    if type(ev) is not PolicyEvaluator:
-        return None
-    if ev.fault_injector is not None:
-        return None
-    if ev.telemetry is not None and ev._trace is not None:
-        return None  # tracer wants per-cycle module events
-    if type(ev.power) is not FUPowerModel:
-        return None
-    cols = packed.classes.get(ev.fu_class)
-    if cols is None:
-        return _EMPTY  # nothing of this class in the stream
-    if ev.power._mask != cols.mask:
-        return None
-    if ev.telemetry is not None and ev.scheme is not cols.scheme:
-        return None  # counted cases would need a different scheme
-    swapper = ev.pre_swapper
-    if swapper is not None and (type(swapper) is not HardwareSwapper
-                                or swapper.scheme is not cols.scheme):
-        return None
-    return cols
-
-
-def _evaluator_kernel(ev: PolicyEvaluator,
-                      packed: PackedTrace) -> Optional[Callable[[], None]]:
-    """Resolve the fused kernel for one evaluator, or ``None`` when its
-    configuration needs the object path (see :func:`_evaluator_cols`).
-
-    Kernel selection consults the policy registry: the policy's family
-    (matched by exact type, so subclasses fall through) names a factory
-    registered for the ``python`` backend, and the factory may still
-    decline (scheme mismatch, unsupported shape) — both roads lead to
-    the object path, never to a wrong kernel.
-    """
-    cols = _evaluator_cols(ev, packed)
-    if cols is None:
-        return None
-    if cols is _EMPTY:
-        return lambda: None
-    factory = REGISTRY.kernel_factory(ev.policy, "python")
-    if factory is None:
-        return None
-    return factory(ev, cols)
-
-
-# ----- python-backend kernel registrations ------------------------------------
-# Factories take (evaluator, columns) after the shared eligibility gate
-# and return a runner or None to decline; each family's guards live
-# with its factory instead of in a central type chain.
-
-
-def _original_kernel(ev, cols):
-    return lambda: _run_positional(ev, cols, round_robin=False)
-
-
-def _round_robin_kernel(ev, cols):
-    return lambda: _run_positional(ev, cols, round_robin=True)
-
-
-def _lut_kernel(ev, cols):
-    if ev.policy.scheme is not cols.scheme:
-        return None
-    return lambda: _run_lut(ev, cols)
-
-
-def _full_hamming_kernel(ev, cols):
-    return lambda: _run_full_hamming(ev, cols)
-
-
-def _one_bit_hamming_kernel(ev, cols):
-    if ev.policy.scheme is not cols.scheme or not cols.conventional:
-        return None
-    return lambda: _run_one_bit_hamming(ev, cols)
-
-
-for _family, _factory in (("original", _original_kernel),
-                          ("round-robin", _round_robin_kernel),
-                          ("lut", _lut_kernel),
-                          ("full-ham", _full_hamming_kernel),
-                          ("1bit-ham", _one_bit_hamming_kernel)):
-    REGISTRY.register_kernel(_family, "python", _factory)
-del _family, _factory
-
-
-# ----- statistics kernels -----------------------------------------------------
-
-
-def _run_bit_patterns(collector: BitPatternCollector,
-                      cols: PackedColumns) -> None:
-    """Table 1 rows straight from the case/popcount columns."""
-    counts = [0] * 8
-    ones1 = [0] * 8
-    ones2 = [0] * 8
-    flagsc, casec = cols.flags, cols.case
-    pop1c, pop2c = cols.pop1, cols.pop2
-    include_spec = collector.include_speculative
-    total = 0
-    for i in range(cols.n_ops):
-        fl = flagsc[i]
-        if (fl & F_SPEC) and not include_spec:
-            continue
-        slot = (casec[i] << 1) | ((fl >> 4) & 1)  # F_COMMUT is bit 4
-        counts[slot] += 1
-        ones1[slot] += pop1c[i]
-        ones2[slot] += pop2c[i]
-        total += 1
-    for slot in range(8):
-        if not counts[slot]:
-            continue
-        row = collector.rows[(slot >> 1, bool(slot & 1))]
-        row.count += counts[slot]
-        row.ones_op1 += ones1[slot]
-        row.ones_op2 += ones2[slot]
-    collector.total_ops += total
-
-
-def _bit_patterns_cols(collector: BitPatternCollector, packed: PackedTrace):
-    """Shared backend gate: columns to run over, :data:`_EMPTY`, or
-    ``None`` for the object path (subclass/scheme/mask mismatch)."""
-    from ..analysis.bit_patterns import BitPatternCollector
-    if type(collector) is not BitPatternCollector:
-        return None
-    cols = packed.classes.get(collector.fu_class)
-    if cols is None:
-        return _EMPTY
-    if collector.scheme is not cols.scheme or collector._mask != cols.mask:
-        return None
-    return cols
-
-
-def _bit_patterns_kernel(collector: BitPatternCollector,
-                         packed: PackedTrace) -> Optional[Callable[[], None]]:
-    cols = _bit_patterns_cols(collector, packed)
-    if cols is None:
-        return None
-    if cols is _EMPTY:
-        return lambda: None
-    return lambda: _run_bit_patterns(collector, cols)
-
-
-def _run_module_usage(collector: ModuleUsageCollector,
-                      cols: PackedColumns) -> None:
-    """Table 2 widths from the offsets column (empty groups excluded)."""
-    per_class = collector.counts.setdefault(cols.fu_class, {})
-    offsets = cols.offsets
-    get = per_class.get
-    for g in range(cols.n_groups):
-        width = offsets[g + 1] - offsets[g]
-        if width:
-            per_class[width] = get(width, 0) + 1
-
-
-def _module_usage_kernel(collector: ModuleUsageCollector,
-                         packed: PackedTrace) -> Optional[Callable[[], None]]:
-    from ..analysis.module_usage import ModuleUsageCollector
-    if type(collector) is not ModuleUsageCollector:
-        return None
-
-    def run() -> None:
-        for fu_class, cols in packed.classes.items():
-            if collector._filter is None or fu_class in collector._filter:
-                _run_module_usage(collector, cols)
-
-    return run
-
-
-# ----- the drive loop ---------------------------------------------------------
-
-#: kernel backends: vectorized NumPy array kernels (when importable)
-#: and the pure-Python fused kernels (always present; the oracle)
-BACKENDS = ("np", "python")
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy kernel backend can run in this interpreter."""
-    from . import kernels_np
-    return kernels_np.NUMPY_AVAILABLE
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Map a backend request to a concrete member of :data:`BACKENDS`.
-
-    ``None``/``"auto"`` picks ``"np"`` when NumPy is importable and
-    degrades to ``"python"`` otherwise; an explicit ``"np"`` without
-    NumPy is an error rather than a silent slowdown.
-    """
-    if backend is None or backend == "auto":
-        return "np" if numpy_available() else "python"
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be 'auto' or one of {BACKENDS}")
-    if backend == "np" and not numpy_available():
-        raise RuntimeError(
-            "the 'np' kernel backend was requested but numpy is not "
-            "importable; use backend='auto' to fall back to the Python "
-            "kernels")
-    return backend
-
-
-def _kernel_for(consumer, packed: PackedTrace) -> Optional[Callable[[], None]]:
-    from ..analysis.bit_patterns import BitPatternCollector
-    from ..analysis.module_usage import ModuleUsageCollector
-    if isinstance(consumer, PolicyEvaluator):
-        return _evaluator_kernel(consumer, packed)
-    if isinstance(consumer, BitPatternCollector):
-        return _bit_patterns_kernel(consumer, packed)
-    if isinstance(consumer, ModuleUsageCollector):
-        return _module_usage_kernel(consumer, packed)
-    return None
+from .columns import PackedTrace
+from .kernels_np import kernel_for as _kernel_for
 
 
 def batch_drive(packed: PackedTrace, consumers: Sequence,
-                finalize: bool = True, backend: Optional[str] = None):
+                finalize: bool = True):
     """Run consumers over a packed trace: the columnar ``drive``.
 
-    Consumers with a fused kernel are evaluated columnar; all others
-    share a single object-decoding pass over :meth:`iter_groups` (still
-    decoding once, not once per consumer).  With ``finalize`` each
-    consumer's ``finalize()`` hook is drained afterwards, exactly like
+    Consumers with a kernel are evaluated columnar; all others share a
+    single object-decoding pass over :meth:`iter_groups` (still decoding
+    once, not once per consumer).  With ``finalize`` each consumer's
+    ``finalize()`` hook is drained afterwards, exactly like
     :func:`repro.streams.drive`.  Returns the packed stream's run
     summary when known.
 
-    ``backend`` picks the kernel implementation (see
-    :func:`resolve_backend`): ``"np"`` routes each consumer through the
-    vectorized kernels in :mod:`repro.batch.kernels_np` where one
-    applies, falling back per-consumer to the fused Python kernels (and
-    from there to the object pass) for configurations the NumPy layer
-    does not cover — so a mixed consumer set always runs, bit-identical
-    whichever backend serves it.
+    Kernels are resolved through this module's ``_kernel_for``, looked
+    up at call time, so instrumentation can wrap the resolver in place.
     """
-    resolved = resolve_backend(backend)
-    np_kernel_for = None
-    if resolved == "np":
-        from .kernels_np import kernel_for as np_kernel_for
     consumers = list(consumers)
     fallback = []
     for consumer in consumers:
-        kernel = None
-        if np_kernel_for is not None:
-            kernel = np_kernel_for(consumer, packed)
-        if kernel is None:
-            kernel = _kernel_for(consumer, packed)
+        kernel = _kernel_for(consumer, packed)
         if kernel is None:
             fallback.append(consumer)
         else:

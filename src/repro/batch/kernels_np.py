@@ -1,84 +1,98 @@
-"""NumPy backend for the fused columnar kernels.
+"""Columnar evaluation kernels: one per steering family.
 
-Whole-column twins of the pure-Python kernels in
-:mod:`repro.batch.kernels`: the per-op work — speculative filtering,
-clamping, pre-swap, case lookups, popcounts, per-module switched-bit
-accounting — runs as array operations over the existing
-:class:`~repro.batch.columns.PackedColumns` layout, with zero-copy
-``np.frombuffer`` views over the ``array``/``memoryview`` columns (the
-column storage itself is unchanged, so the Python kernels and the
-object path keep working on the very same trace).
+Every kernel runs one consumer over a
+:class:`~repro.batch.columns.PackedColumns` and writes its results
+**into the consumer's existing state** (power-model inputs and totals,
+evaluator counters, collector rows), so ``totals()``, telemetry
+collectors, and every downstream aggregation work unchanged.  Columns
+are read through zero-copy ``np.frombuffer`` views over the
+``array``/``memoryview`` storage, so the object path keeps working on
+the very same trace; it remains the reference oracle, and
+``tests/batch/test_parity.py`` holds every kernel bit-identical to it.
 
-The backend is optional: this module imports cleanly without NumPy
-(:data:`NUMPY_AVAILABLE` is ``False`` and :func:`kernel_for` always
-returns ``None``), and :func:`repro.batch.kernels.batch_drive` falls
-back to the pure-Python kernels, which remain the parity oracle.
+How each family runs
+--------------------
 
-How each kernel family vectorizes
----------------------------------
-
-* **Selection** (the filter/clamp of ``_select_groups``) becomes a
-  rank-within-group computation from the offsets column: a cumulative
-  sum of the non-speculative mask gives each op's rank among its
-  group's survivors, and ``rank < num_modules`` is the clamp.
-* **Accounting** is shared by every kernel: once per-op module choices
-  exist, a stable argsort by module turns the stream into contiguous
-  per-module runs *in stream order*; the "previous operands" of each op
-  are then just the shifted run (seeded from the power model's latched
-  state at run starts), so every XOR/popcount happens in one shot and
-  per-module totals come from ``np.add.reduceat``.  Popcounts go
-  through :data:`~repro.batch.kernels.POPCOUNT16` viewed as a NumPy
-  table over the ``uint16`` lanes of each 64-bit word.
-* **LUT steering** packs each group's (length, leading cases) into the
-  same collision-free integer key the Python kernel uses, calls
-  ``LUTPolicy._assign_cases`` once per *unique* key (``np.unique``),
-  and expands module choices with one 2-D gather.
+* **Selection** (the evaluator's speculative filter, then the clamp to
+  the module count) is a rank-within-group computation from the offsets
+  column: a cumulative sum of the non-speculative mask gives each op's
+  rank among its group's survivors, and ``rank < num_modules`` is the
+  clamp.
+* **Accounting** is shared by every vectorised kernel: once per-op
+  module choices exist, a stable argsort by module turns the stream
+  into contiguous per-module runs *in stream order*; the "previous
+  operands" of each op are then just the shifted run (seeded from the
+  power model's latched state at run starts), so every XOR/popcount
+  happens in one shot and per-module totals come from
+  ``np.add.reduceat``.  Popcounts go through :data:`POPCOUNT16` viewed
+  as a NumPy table over the ``uint16`` lanes of each 64-bit word.
+* **LUT steering** (the ``lut`` family and the BDD-synthesised ``bdd``
+  family, which share ``LUTPolicy._assign_cases``) packs each group's
+  (length, leading cases) into a collision-free integer key, calls
+  ``_assign_cases`` once per *unique* key (``np.unique``), and expands
+  module choices with one 2-D gather.
 * **1-bit Hamming** packs each group's (case, swappable) codes into a
-  per-group opkey column; the decision layer itself — a dict memoised
-  on (opkey, module info-bit state) exactly like the Python kernel,
-  sharing its ``_one_bit_decide``  — stays a Python loop because each
-  group's decision feeds the next group's key, but it touches one int
-  per *group* (not per op) and expansion back to ops is columnar.
-* **Full Hamming** is delegated to the fused Python kernel: its exact
+  per-group opkey column; the decision layer itself, a dict memoised on
+  (opkey, module info-bit state), stays a loop because each group's
+  decision feeds the next group's key, but it touches one int per
+  *group* (not per op) and expansion back to ops is columnar.
+* **Full Hamming** is a plain loop over the column arrays: its exact
   cost matrix reads the full-width latched images the previous group's
   assignment just wrote, so the groups are sequentially dependent by
-  construction and there is no whole-column formulation; the Python
-  matcher is already pruned and memoises permutations.
+  construction.  The matcher prunes partial sums and memoises
+  permutations.
 
-Every kernel writes back through the same :class:`_EvalContext` flush
-as the Python backend, and all arithmetic is integer-exact (int64/
-uint64 sums, never float), so the three engines are bit-identical —
-``tests/batch/test_parity.py`` holds them to the object-path oracle.
+Semantics replicated exactly (see the evaluator/collector sources):
+the clamp-to-module-count *after* the speculative filter for deferred
+evaluators, the tie-breaking of :func:`repro.core.assignment.solve`
+(called by the full-Hamming matcher itself on wide machines), the
+round-robin rotation advancing once per non-empty group, and the LUT
+spare-module remapping.  All arithmetic is integer-exact (int64/uint64
+sums, never float).
+
+:func:`kernel_for` resolves a consumer to its kernel through the policy
+registry, or returns ``None`` when the consumer needs the object path;
+:func:`repro.batch.kernels.batch_drive` runs those through one shared
+object-decoding pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+import itertools
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
-try:  # NumPy is optional: without it the Python kernels carry the load
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+import numpy as np
 
+from ..core.assignment import _BRUTE_FORCE_LIMIT, solve as _solve
+from ..core.power import FUPowerModel
 from ..core.registry import REGISTRY
 from ..core.steering import (LUTPolicy, OneBitHammingPolicy,
                              PolicyEvaluator)
+from ..core.swapping import HardwareSwapper
+from ..isa.encoding import bit_count as _bit_count
 from .columns import (F_HW_SWAP, F_SPEC, NUMPY_DTYPES, PackedColumns,
                       PackedTrace, SWAPPED_CASE)
-from .kernels import (POPCOUNT16, _EMPTY, _EvalContext, _bit_patterns_cols,
-                      _one_bit_decide)
 
-if TYPE_CHECKING:  # runtime-lazy, mirroring kernels.py
+if TYPE_CHECKING:  # runtime-lazy: analysis itself imports this package
     from ..analysis.bit_patterns import BitPatternCollector
     from ..analysis.module_usage import ModuleUsageCollector
 
-#: whether the NumPy backend can run at all in this interpreter
-NUMPY_AVAILABLE = np is not None
+#: popcount of every 16-bit value; :func:`popcount64` indexes it per
+#: 16-bit lane, and :func:`_table_bit_count` is its scalar walker (the
+#: full-Hamming loop uses the native ``_bit_count`` instead)
+POPCOUNT16 = bytes(bin(value).count("1") for value in range(1 << 16))
 
-if NUMPY_AVAILABLE:
-    #: POPCOUNT16 as an indexable ndarray (zero-copy view of the bytes)
-    _POP16 = np.frombuffer(POPCOUNT16, dtype=np.uint8)
-    _SWAPPED_CASE_NP = np.array(SWAPPED_CASE, dtype=np.uint8)
+
+def _table_bit_count(value: int, _table=POPCOUNT16) -> int:
+    """Popcount via :data:`POPCOUNT16` (for up to 64-bit masked images)."""
+    return (_table[value & 0xFFFF] + _table[(value >> 16) & 0xFFFF]
+            + _table[(value >> 32) & 0xFFFF] + _table[(value >> 48) & 0xFFFF])
+
+
+#: POPCOUNT16 as an indexable ndarray (zero-copy view of the bytes)
+_POP16 = np.frombuffer(POPCOUNT16, dtype=np.uint8)
+_SWAPPED_CASE_NP = np.array(SWAPPED_CASE, dtype=np.uint8)
 
 #: widest machine the packed 1-bit-Hamming opkey fits in one int64
 #: (3 bits per op, up to num_modules ops per group)
@@ -92,8 +106,6 @@ def popcount64(values) -> "np.ndarray":
     lookups — the array twin of ``_table_bit_count``, checked against
     the same oracle in ``tests/batch/test_popcount.py``.
     """
-    if np is None:
-        raise RuntimeError("popcount64 requires numpy")
     words = np.ascontiguousarray(values, dtype=np.uint64)
     lanes = _POP16[words.view(np.uint16)].reshape(-1, 4)
     # four strided adds beat reduce-along-axis by ~2x at these widths
@@ -104,7 +116,7 @@ def popcount64(values) -> "np.ndarray":
     return out
 
 
-# ----- shared columnar machinery ---------------------------------------------
+# ----- shared columnar machinery ----------------------------------------------
 
 
 def _view(cols: PackedColumns, name: str, typecode: str) -> "np.ndarray":
@@ -138,8 +150,8 @@ class _Selected:
 
 def _select(offsets: "np.ndarray", flags: "np.ndarray",
             num_modules: int, exclude_spec: bool) -> Optional[_Selected]:
-    """Vectorized ``_select_groups``: spec-filter *then* clamp, exactly
-    the deferred evaluators' ``_account_ops`` order."""
+    """Columnar :func:`_select_groups`: spec-filter *then* clamp,
+    exactly the deferred evaluators' ``_account_ops`` order."""
     n_groups = len(offsets) - 1
     n_ops = int(offsets[-1]) if n_groups > 0 else 0
     if n_ops == 0:
@@ -162,6 +174,84 @@ def _select(offsets: "np.ndarray", flags: "np.ndarray",
     n_of = np.diff(np.r_[starts, idx.size])
     jop = np.repeat(np.arange(starts.size, dtype=np.int64), n_of)
     return _Selected(idx, rank[idx], starts, n_of, jop, int(starts.size))
+
+
+def _select_groups(cols: PackedColumns, num_modules: int,
+                   exclude_spec: bool):
+    """Yield per-group index lists after the evaluator's filter/clamp
+    (the loop form of :func:`_select`, for the full-Hamming matcher).
+
+    Inclusive evaluators clamp the raw group to ``num_modules``;
+    deferred (wrong-path-excluding) evaluators filter speculative ops
+    *first*, then clamp — exactly ``_account_ops``'s order.  Groups
+    with nothing left are skipped entirely (``cycles_seen`` untouched).
+    """
+    offsets = cols.offsets
+    flags = cols.flags
+    for g in range(cols.n_groups):
+        start = offsets[g]
+        end = offsets[g + 1]
+        if start == end:
+            continue
+        if exclude_spec:
+            sel = [i for i in range(start, end) if not (flags[i] & F_SPEC)]
+            if not sel:
+                continue
+            if len(sel) > num_modules:
+                del sel[num_modules:]
+            yield sel
+        else:
+            if end - start > num_modules:
+                end = start + num_modules
+            yield range(start, end)
+
+
+class _EvalContext:
+    """Shared per-evaluator kernel state: hoisted power-model locals,
+    pre-swap configuration, and telemetry accumulators."""
+
+    __slots__ = ("ev", "cols", "power", "nm", "mask", "prev1", "prev2",
+                 "track", "track_ops", "swapper", "swap_case", "telemetry",
+                 "tcounts", "total_bits", "total_ops", "cycles_seen",
+                 "router_swaps", "pre_swaps")
+
+    def __init__(self, ev: PolicyEvaluator, cols: PackedColumns):
+        self.ev = ev
+        self.cols = cols
+        power = self.power = ev.power
+        self.nm = power.num_modules
+        self.mask = power._mask
+        self.prev1 = [pair[0] for pair in power._inputs]
+        self.prev2 = [pair[1] for pair in power._inputs]
+        self.track = power.module_switched_bits
+        self.track_ops = power.module_operations
+        self.swapper = ev.pre_swapper
+        self.swap_case = (self.swapper.swap_from_case
+                          if self.swapper is not None else -1)
+        self.telemetry = ev.telemetry is not None
+        self.tcounts = [0, 0, 0, 0]
+        self.total_bits = 0
+        self.total_ops = 0
+        self.cycles_seen = 0
+        self.router_swaps = 0
+        self.pre_swaps = 0
+
+    def flush(self) -> None:
+        """Write the kernel's accumulators back into the evaluator."""
+        ev = self.ev
+        power = self.power
+        power._inputs = list(zip(self.prev1, self.prev2))
+        power.switched_bits += self.total_bits
+        power.operations += self.total_ops
+        ev.cycles_seen += self.cycles_seen
+        if self.swapper is not None:
+            self.swapper.swaps_performed += self.pre_swaps
+        if self.telemetry:
+            counts = ev._case_counts
+            for case in range(4):
+                counts[case] += self.tcounts[case]
+            ev._ops_seen += self.total_ops
+            ev._swaps_seen += self.router_swaps
 
 
 def _pre_swap(ctx: _EvalContext, sel: _Selected, op1v, op2v, flagsv, casev):
@@ -233,8 +323,8 @@ def _accumulate(ctx: _EvalContext, o1, o2, module, case) -> None:
 # ----- evaluator kernels ------------------------------------------------------
 
 
-def _np_run_positional(ev: PolicyEvaluator, cols: PackedColumns,
-                       round_robin: bool) -> None:
+def _run_positional(ev: PolicyEvaluator, cols: PackedColumns,
+                    round_robin: bool) -> None:
     """Original (op k -> module k) and round-robin steering."""
     ctx = _EvalContext(ev, cols)
     op1v, op2v, flagsv, casev = _op_views(cols)
@@ -259,7 +349,7 @@ def _np_run_positional(ev: PolicyEvaluator, cols: PackedColumns,
     ctx.flush()
 
 
-def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
+def _run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     """Table-driven LUT steering: one ``_assign_cases`` per unique
     (length, leading-cases) key, expanded with a single 2-D gather."""
     ctx = _EvalContext(ev, cols)
@@ -273,8 +363,8 @@ def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     ctx.cycles_seen = sel.cycles
     o1, o2, case, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
     vo = policy._vector_ops
-    # the Python kernel's collision-free key, column-wise: length in the
-    # high bits, then the first min(length, vector_ops) cases big-endian
+    # a collision-free key per group: length in the high bits, then the
+    # first min(length, vector_ops) cases big-endian
     t = np.minimum(sel.n_of, vo)
     t_op = t[sel.jop]
     shift = np.maximum(2 * (t_op - 1 - sel.rank), 0)
@@ -295,13 +385,207 @@ def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     ctx.flush()
 
 
-def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
+def _match(costs: List[List[int]], n: int, nm: int,
+           perms_by_n: Dict[int, List[Tuple[int, ...]]]
+           ) -> Tuple[int, ...]:
+    """Minimum-cost injective matching that picks exactly what
+    :func:`repro.core.assignment.solve` picks.
+
+    In the brute-force regime (``nm <= _BRUTE_FORCE_LIMIT``, like
+    ``solve``) the lex-order strict-< scan is inlined with monotone
+    partial-sum pruning — the winner is the lexicographically smallest
+    minimum-total permutation either way, so pruning cannot change the
+    result (costs are non-negative).  Wider machines delegate to
+    ``solve`` itself, whose Hungarian path returns *a* minimum-cost
+    matching but not necessarily the lexicographically smallest one;
+    the object path calls the same ``solve``, so the two still agree.
+    """
+    if nm > _BRUTE_FORCE_LIMIT:
+        return _solve(costs)[0]
+    if n == 1:
+        row = costs[0]
+        best = 0
+        best_cost = row[0]
+        for m in range(1, nm):
+            if row[m] < best_cost:
+                best_cost = row[m]
+                best = m
+        return (best,)
+    perms = perms_by_n.get(n)
+    if perms is None:
+        perms = list(itertools.permutations(range(nm), n))
+        perms_by_n[n] = perms
+    best_perm = perms[0]
+    best_total = 0
+    for k in range(n):
+        best_total += costs[k][best_perm[k]]
+    for index in range(1, len(perms)):
+        perm = perms[index]
+        total = 0
+        for k in range(n):
+            total += costs[k][perm[k]]
+            if total >= best_total:
+                break
+        else:
+            best_total = total
+            best_perm = perm
+    return best_perm
+
+
+def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
+    """Full-width Hamming matcher: cost matrix from kernel locals."""
+    ctx = _EvalContext(ev, cols)
+    allow_swap = ev.policy.allow_swap
+    nm = ctx.nm
+    mask = ctx.mask
+    bc = _bit_count
+    prev1, prev2 = ctx.prev1, ctx.prev2
+    track, track_ops = ctx.track, ctx.track_ops
+    op1c, op2c = cols.op1, cols.op2
+    flagsc, casec = cols.flags, cols.case
+    swapping = ctx.swapper is not None
+    swap_case = ctx.swap_case
+    swc = SWAPPED_CASE
+    tel = ctx.telemetry
+    tcounts = ctx.tcounts
+    modrange = range(nm)
+    perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
+    total_bits = 0
+    total_ops = 0
+    pre_swaps = 0
+    router_swaps = 0
+
+    for sel in _select_groups(cols, nm, not ev.include_speculative):
+        ctx.cycles_seen += 1
+        g1: List[int] = []
+        g2: List[int] = []
+        gc: List[int] = []
+        costs: List[List[int]] = []
+        swaps: List[Optional[List[bool]]] = []
+        for i in sel:
+            o1 = op1c[i]
+            o2 = op2c[i]
+            case = casec[i]
+            fl = flagsc[i]
+            if swapping and (fl & F_HW_SWAP) and case == swap_case:
+                o1, o2 = o2, o1
+                case = swc[case]
+                pre_swaps += 1
+            g1.append(o1)
+            g2.append(o2)
+            gc.append(case)
+            if allow_swap and (fl & F_HW_SWAP):
+                row = []
+                row_swaps = []
+                for m in modrange:
+                    p1 = prev1[m]
+                    p2 = prev2[m]
+                    direct = bc((o1 ^ p1) & mask) + bc((o2 ^ p2) & mask)
+                    exchanged = bc((o2 ^ p1) & mask) + bc((o1 ^ p2) & mask)
+                    if exchanged < direct:
+                        row.append(exchanged)
+                        row_swaps.append(True)
+                    else:
+                        row.append(direct)
+                        row_swaps.append(False)
+                swaps.append(row_swaps)
+            else:
+                row = [bc((o1 ^ prev1[m]) & mask) + bc((o2 ^ prev2[m]) & mask)
+                       for m in modrange]
+                swaps.append(None)
+            costs.append(row)
+        n = len(g1)
+        modules = _match(costs, n, nm, perms_by_n)
+        for k in range(n):
+            module = modules[k]
+            row_swaps = swaps[k]
+            if row_swaps is not None and row_swaps[module]:
+                o1 = g2[k]
+                o2 = g1[k]
+                router_swaps += 1
+            else:
+                o1 = g1[k]
+                o2 = g2[k]
+            cost = costs[k][module]
+            prev1[module] = o1
+            prev2[module] = o2
+            total_bits += cost
+            if track is not None:
+                track[module] += cost
+                track_ops[module] += 1
+            if tel:
+                tcounts[gc[k]] += 1
+        total_ops += n
+
+    ctx.total_bits = total_bits
+    ctx.total_ops = total_ops
+    ctx.pre_swaps = pre_swaps
+    ctx.router_swaps = router_swaps
+    ctx.flush()
+
+
+def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
+                    pb1: int, pb2: int, nm: int, modrange,
+                    perms_by_n: Dict[int, List[Tuple[int, ...]]]
+                    ) -> Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]:
+    """One 1-bit-Hamming group decision from the memo-miss path.
+
+    Given the group's (post-pre-swap) cases, per-op swappability, and
+    the packed per-module info-bit state, build the 1-bit cost matrix,
+    match, and recover the router swaps exactly as ``cost_matrix``
+    chose them.  Returns ``(modules, chosen_swaps, next_pb1, next_pb2)``.
+    """
+    n = len(gc)
+    costs: List[List[int]] = []
+    for k in range(n):
+        case = gc[k]
+        b1 = (case >> 1) & 1
+        b2 = case & 1
+        row = []
+        for m in modrange:
+            p1 = (pb1 >> m) & 1
+            p2 = (pb2 >> m) & 1
+            direct = abs(b1 - p1) + abs(b2 - p2)
+            if gsw[k]:
+                exchanged = abs(b2 - p1) + abs(b1 - p2)
+                if exchanged < direct:
+                    row.append(exchanged)
+                    continue
+            row.append(direct)
+        costs.append(row)
+    modules = _match(costs, n, nm, perms_by_n)
+    chosen_swaps = []
+    next_pb1 = pb1
+    next_pb2 = pb2
+    for k in range(n):
+        module = modules[k]
+        case = gc[k]
+        b1 = (case >> 1) & 1
+        b2 = case & 1
+        swap = False
+        if gsw[k]:
+            # against the group-start state, like the matrix
+            p1 = (pb1 >> module) & 1
+            p2 = (pb2 >> module) & 1
+            # the matrix keeps only the best cost per cell; recover the
+            # swap exactly as cost_matrix chose it
+            swap = (abs(b2 - p1) + abs(b1 - p2)
+                    < abs(b1 - p1) + abs(b2 - p2))
+        chosen_swaps.append(swap)
+        bit = 1 << module
+        new1, new2 = (b2, b1) if swap else (b1, b2)
+        next_pb1 = (next_pb1 & ~bit) | (new1 << module)
+        next_pb2 = (next_pb2 & ~bit) | (new2 << module)
+    return modules, tuple(chosen_swaps), next_pb1, next_pb2
+
+
+def _run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     """1-bit Hamming matcher: columnar opkeys, memoised decisions.
 
     The per-group decision chain (each group's assignment updates the
     module info-bit state the next group's key depends on) runs as a
-    Python loop over *groups*, sharing the exact ``_one_bit_decide``
-    the Python kernel memoises; everything per-op — key packing, module
+    loop over *groups*, memoising :func:`_one_bit_decide` on the packed
+    (opkey, info-bit state) key; everything per-op — key packing, module
     and router-swap expansion, operand selection, accounting — is
     columnar.
     """
@@ -326,8 +610,7 @@ def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
         pre = np.zeros(idx.size, dtype=bool)
         case = raw_case
     swappable = hw if allow_swap else np.zeros(idx.size, dtype=bool)
-    # 3 bits per op, packed big-endian per group — identical layout to
-    # the Python kernel's key accumulator
+    # 3 bits per op, packed big-endian per group
     field = (case.astype(np.int64) << 1) | swappable
     opkeys = np.add.reduceat(field << (3 * (sel.n_of[sel.jop] - 1 - sel.rank)),
                              sel.starts)
@@ -387,72 +670,108 @@ def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     ctx.flush()
 
 
-def _evaluator_kernel_np(ev: PolicyEvaluator, packed: PackedTrace
-                         ) -> Optional[Callable[[], None]]:
-    """Resolve the NumPy kernel for one evaluator, or ``None`` to let
-    the Python dispatcher decide (fused Python kernel or object path).
+#: sentinel from the eligibility gates: the consumer is kernel-eligible
+#: but the packed trace holds nothing of its FU class (a no-op run)
+_EMPTY = object()
 
-    Resolution goes through the policy registry's ``np`` backend
-    entries.  Families without one — full-Hamming, whose exact cost
-    matrix reads the full-width state the previous group just latched
-    (sequentially dependent, no whole-column formulation), and any
-    family that simply never registered — fall through cleanly.
+
+def _evaluator_cols(ev: PolicyEvaluator, packed: PackedTrace):
+    """Eligibility gate for evaluators.
+
+    Returns the :class:`PackedColumns` to run over, :data:`_EMPTY` when
+    the trace holds nothing of the evaluator's FU class, or ``None``
+    when its configuration needs the object path (fault injectors,
+    tracers, custom schemes/power models).
     """
-    cols = _np_evaluator_cols(ev, packed)
+    if type(ev) is not PolicyEvaluator:
+        return None
+    if ev.fault_injector is not None:
+        return None
+    if ev.telemetry is not None and ev._trace is not None:
+        return None  # tracer wants per-cycle module events
+    if type(ev.power) is not FUPowerModel:
+        return None
+    cols = packed.classes.get(ev.fu_class)
+    if cols is None:
+        return _EMPTY  # nothing of this class in the stream
+    if ev.power._mask != cols.mask:
+        return None
+    if ev.telemetry is not None and ev.scheme is not cols.scheme:
+        return None  # counted cases would need a different scheme
+    swapper = ev.pre_swapper
+    if swapper is not None and (type(swapper) is not HardwareSwapper
+                                or swapper.scheme is not cols.scheme):
+        return None
+    return cols
+
+
+def _evaluator_kernel(ev: PolicyEvaluator,
+                      packed: PackedTrace) -> Optional[Callable[[], None]]:
+    """Resolve the kernel for one evaluator, or ``None`` when its
+    configuration needs the object path (see :func:`_evaluator_cols`).
+
+    Kernel selection consults the policy registry: the policy's family
+    (matched by exact type, so subclasses fall through) names a
+    factory, and the factory may still decline (scheme mismatch,
+    unsupported shape) — both roads lead to the object path, never to
+    a wrong kernel.
+    """
+    cols = _evaluator_cols(ev, packed)
     if cols is None:
         return None
-    factory = REGISTRY.kernel_factory(ev.policy, "np")
+    if cols is _EMPTY:
+        return lambda: None
+    factory = REGISTRY.kernel_factory(ev.policy)
     if factory is None:
         return None
     return factory(ev, cols)
 
 
-def _np_evaluator_cols(ev: PolicyEvaluator, packed: PackedTrace):
-    from .kernels import _evaluator_cols
-    cols = _evaluator_cols(ev, packed)
-    if cols is None or cols is _EMPTY:
-        return None
-    return cols
+# ----- kernel registrations ---------------------------------------------------
+# Factories take (evaluator, columns) after the shared eligibility gate
+# and return a runner or None to decline; each family's guards live
+# with its factory instead of in a central type chain.
 
 
-# ----- np-backend kernel registrations ----------------------------------------
+def _original_kernel(ev, cols):
+    return lambda: _run_positional(ev, cols, round_robin=False)
 
 
-def _np_original_kernel(ev, cols):
-    return lambda: _np_run_positional(ev, cols, round_robin=False)
+def _round_robin_kernel(ev, cols):
+    return lambda: _run_positional(ev, cols, round_robin=True)
 
 
-def _np_round_robin_kernel(ev, cols):
-    return lambda: _np_run_positional(ev, cols, round_robin=True)
-
-
-def _np_lut_kernel(ev, cols):
+def _lut_kernel(ev, cols):
     if ev.policy.scheme is not cols.scheme:
         return None
-    return lambda: _np_run_lut(ev, cols)
+    return lambda: _run_lut(ev, cols)
 
 
-def _np_one_bit_hamming_kernel(ev, cols):
+def _full_hamming_kernel(ev, cols):
+    return lambda: _run_full_hamming(ev, cols)
+
+
+def _one_bit_hamming_kernel(ev, cols):
     if ev.policy.scheme is not cols.scheme or not cols.conventional \
             or ev.power.num_modules > _ONE_BIT_MAX_MODULES:
         return None
-    return lambda: _np_run_one_bit_hamming(ev, cols)
+    return lambda: _run_one_bit_hamming(ev, cols)
 
 
-if np is not None:  # without numpy the python kernels carry the load
-    for _family, _factory in (("original", _np_original_kernel),
-                              ("round-robin", _np_round_robin_kernel),
-                              ("lut", _np_lut_kernel),
-                              ("1bit-ham", _np_one_bit_hamming_kernel)):
-        REGISTRY.register_kernel(_family, "np", _factory)
-    del _family, _factory
+for _family, _factory in (("original", _original_kernel),
+                          ("round-robin", _round_robin_kernel),
+                          ("lut", _lut_kernel),
+                          ("full-ham", _full_hamming_kernel),
+                          ("1bit-ham", _one_bit_hamming_kernel)):
+    REGISTRY.register_kernel(_family, _factory)
+del _family, _factory
 
 
 # ----- statistics kernels -----------------------------------------------------
 
 
-def _np_run_bit_patterns(collector: "BitPatternCollector",
-                         cols: PackedColumns) -> None:
+def _run_bit_patterns(collector: "BitPatternCollector",
+                      cols: PackedColumns) -> None:
     """Table 1 rows as bincounts over the case/popcount columns."""
     flags = _view(cols, "flags", "B")
     case = _view(cols, "case", "B")
@@ -475,8 +794,8 @@ def _np_run_bit_patterns(collector: "BitPatternCollector",
     collector.total_ops += int(slot.size)
 
 
-def _np_run_module_usage(collector: "ModuleUsageCollector",
-                         cols: PackedColumns) -> None:
+def _run_module_usage(collector: "ModuleUsageCollector",
+                      cols: PackedColumns) -> None:
     """Table 2 widths from one diff over the offsets column."""
     widths = np.diff(_offsets_view(cols))
     values, counts = np.unique(widths[widths > 0], return_counts=True)
@@ -489,29 +808,46 @@ def _np_run_module_usage(collector: "ModuleUsageCollector",
 # ----- dispatch ---------------------------------------------------------------
 
 
+def _bit_patterns_kernel(collector: "BitPatternCollector",
+                         packed: PackedTrace) -> Optional[Callable[[], None]]:
+    """Table 1 kernel, or ``None`` for the object path (subclass,
+    scheme or mask mismatch)."""
+    from ..analysis.bit_patterns import BitPatternCollector
+    if type(collector) is not BitPatternCollector:
+        return None
+    cols = packed.classes.get(collector.fu_class)
+    if cols is None:
+        return lambda: None
+    if collector.scheme is not cols.scheme or collector._mask != cols.mask:
+        return None
+    return lambda: _run_bit_patterns(collector, cols)
+
+
+def _module_usage_kernel(collector: "ModuleUsageCollector",
+                         packed: PackedTrace) -> Optional[Callable[[], None]]:
+    """Table 2 kernel over every class the collector counts."""
+    from ..analysis.module_usage import ModuleUsageCollector
+    if type(collector) is not ModuleUsageCollector:
+        return None
+
+    def run() -> None:
+        for fu_class, cols in packed.classes.items():
+            if collector._filter is None or fu_class in collector._filter:
+                _run_module_usage(collector, cols)
+
+    return run
+
+
 def kernel_for(consumer, packed: PackedTrace
                ) -> Optional[Callable[[], None]]:
-    """NumPy kernel for one consumer, or ``None`` to defer to the
-    Python dispatcher (which may still return a fused Python kernel)."""
-    if np is None:
-        return None
+    """The kernel for one consumer, or ``None`` when it needs the object
+    path (unknown consumer type, or a configuration no kernel covers)."""
     from ..analysis.bit_patterns import BitPatternCollector
     from ..analysis.module_usage import ModuleUsageCollector
     if isinstance(consumer, PolicyEvaluator):
-        return _evaluator_kernel_np(consumer, packed)
+        return _evaluator_kernel(consumer, packed)
     if isinstance(consumer, BitPatternCollector):
-        cols = _bit_patterns_cols(consumer, packed)
-        if cols is None or cols is _EMPTY:
-            return None
-        return lambda: _np_run_bit_patterns(consumer, cols)
+        return _bit_patterns_kernel(consumer, packed)
     if isinstance(consumer, ModuleUsageCollector):
-        if type(consumer) is not ModuleUsageCollector:
-            return None
-
-        def run() -> None:
-            for fu_class, cols in packed.classes.items():
-                if consumer._filter is None or fu_class in consumer._filter:
-                    _np_run_module_usage(consumer, cols)
-
-        return run
+        return _module_usage_kernel(consumer, packed)
     return None

@@ -334,30 +334,26 @@ def cmd_replay(args) -> int:
 
 
 def cmd_policies(args) -> int:
-    """List registered policy families, parameters, and fused kernels."""
+    """List registered policy families, parameters, and kernels."""
     from .analysis.report import _format_table
     import repro.batch  # noqa: F401  (importing registers batch kernels)
-    from .batch import NUMPY_AVAILABLE
-    header = ["family", "syntax", "stats", "swap", "kernels", "grid kinds",
+    header = ["family", "syntax", "stats", "swap", "kernel", "grid kinds",
               "description"]
     rows = []
     for family in REGISTRY.families():
-        backends = REGISTRY.kernel_backends(family.name)
         rows.append([
             family.name,
             family.syntax,
             "yes" if family.needs_stats else "-",
             "yes" if family.supports_swap else "-",
-            ", ".join(backends) if backends else "(object path)",
+            ("columnar" if REGISTRY.has_kernel(family.name)
+             else "(object path)"),
             ", ".join(family.grid_kinds) if family.grid_kinds else "-",
             family.description,
         ])
     print(_format_table(header, rows, "Registered policy families"))
     print(f"default CLI policies: {', '.join(REGISTRY.default_policies())}")
     print(f"figure-4 grid: {', '.join(REGISTRY.grid_kinds())}")
-    if not NUMPY_AVAILABLE:
-        print("numpy not importable: np kernels unavailable in this"
-              " environment")
     return 0
 
 
@@ -658,13 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
                         " after the run (entries this run used are never"
                         " evicted)")
     p.add_argument("--engine",
-                   choices=["auto", "batch-np", "batch", "object"],
+                   choices=["auto", "batch-np", "object"],
                    default="auto",
-                   help="evaluation engine: columnar kernels vectorized on"
-                        " NumPy (batch-np), the same kernels in pure Python"
-                        " (batch), or the reference object loop (object);"
-                        " auto (default) picks batch-np when NumPy is"
-                        " importable and falls back to batch")
+                   help="evaluation engine: one columnar NumPy kernel per"
+                        " steering family (batch-np), or the reference"
+                        " object loop (object); auto (default) is"
+                        " batch-np")
     p.add_argument("--jobs", type=int, default=1,
                    help="fan per-workload evaluation across N worker"
                         " processes (output is byte-stable for any N)")

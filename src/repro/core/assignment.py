@@ -80,8 +80,11 @@ def cost_matrix(ops: Sequence[MicroOp],
 def solve(costs: Sequence[Sequence[float]]) -> Tuple[Tuple[int, ...], float]:
     """Minimum-cost injective assignment of rows (ops) to columns (modules).
 
-    Requires ``len(costs) <= len(costs[0])``.  Ties break toward the
-    lexicographically smallest module tuple, making results deterministic.
+    Requires ``len(costs) <= len(costs[0])``.  Results are deterministic.
+    Up to ``_BRUTE_FORCE_LIMIT`` modules, ties break toward the
+    lexicographically smallest module tuple; wider machines use the
+    Hungarian method (scipy), which returns *a* minimum-cost matching in
+    its own tie order, not necessarily the lexicographically smallest.
     """
     num_ops = len(costs)
     if num_ops == 0:

@@ -8,18 +8,19 @@ hand-maintained dispatch site consults the registry instead:
 
 * :func:`repro.core.steering.make_policy` resolves kind strings
   (``lut-4``, ``bdd-8``, ``original``) through :meth:`PolicyRegistry.build`;
-* the batch engines resolve fused kernels per backend through
+* the batch engine resolves each evaluator's columnar kernel through
   :meth:`PolicyRegistry.kernel_factory` instead of ``type(policy)``
-  chains (a family with no kernel for a backend cleanly falls through
-  to the next backend and finally the object path);
+  chains (a family with no kernel cleanly falls through to the object
+  path);
 * figure-4 grids, CLI policy choices/defaults, campaign-spec
   validation, and report labels all derive from the family metadata.
 
 Adding a family therefore touches one module: define the policy class,
 build a :class:`PolicyFamily` (name pattern + parameter parser +
 constructor + requirements + grid metadata), call
-:meth:`PolicyRegistry.register`, and optionally attach fused kernels
-with :meth:`PolicyRegistry.register_kernel`.  No dispatch site changes.
+:meth:`PolicyRegistry.register`, and optionally attach a columnar
+kernel with :meth:`PolicyRegistry.register_kernel`.  No dispatch site
+changes.
 
 The registry deliberately imports nothing from the rest of the package
 so any module (core, batch, analysis, runner, CLI) can depend on it
@@ -135,12 +136,12 @@ class PolicyFamily:
 
 
 class PolicyRegistry:
-    """Registry instance: families, per-backend kernels, metadata."""
+    """Registry instance: families, their kernels, metadata."""
 
     def __init__(self) -> None:
         self._families: Dict[str, PolicyFamily] = {}
         self._by_type: Dict[type, PolicyFamily] = {}
-        self._kernels: Dict[Tuple[str, str], Callable] = {}
+        self._kernels: Dict[str, Callable] = {}
 
     # ----- registration -------------------------------------------------
 
@@ -160,18 +161,17 @@ class PolicyRegistry:
             self._by_type[cls] = family
         return family
 
-    def register_kernel(self, family_name: str, backend: str,
-                        factory: Callable) -> None:
-        """Attach a fused batch kernel factory to a family.
+    def register_kernel(self, family_name: str, factory: Callable) -> None:
+        """Attach a columnar batch kernel factory to a family.
 
         ``factory(evaluator, columns)`` returns a zero-argument runner,
         or ``None`` to decline this evaluator (scheme mismatch, module
         count out of the kernel's range, ...) — declining falls through
-        exactly like an unregistered backend.
+        to the object path exactly like a family with no kernel.
         """
         if family_name not in self._families:
             raise ValueError(f"unknown policy family '{family_name}'")
-        self._kernels[(family_name, backend)] = factory
+        self._kernels[family_name] = factory
 
     # ----- kind resolution ----------------------------------------------
 
@@ -218,19 +218,17 @@ class PolicyRegistry:
         """The family that registered ``type(policy)`` exactly, if any."""
         return self._by_type.get(type(policy))
 
-    def kernel_factory(self, policy: Any, backend: str
-                       ) -> Optional[Callable]:
-        """The fused-kernel factory for this policy on one backend, or
-        ``None`` → fall through (next backend, then the object path)."""
+    def kernel_factory(self, policy: Any) -> Optional[Callable]:
+        """The columnar kernel factory for this policy, or ``None`` →
+        fall through to the object path."""
         family = self._by_type.get(type(policy))
         if family is None:
             return None
-        return self._kernels.get((family.name, backend))
+        return self._kernels.get(family.name)
 
-    def kernel_backends(self, family_name: str) -> Tuple[str, ...]:
-        """Backends a family has fused kernels registered for."""
-        return tuple(sorted(backend for (name, backend) in self._kernels
-                            if name == family_name))
+    def has_kernel(self, family_name: str) -> bool:
+        """Whether a family has a columnar kernel registered."""
+        return family_name in self._kernels
 
     # ----- metadata for grids, CLI, and reports -------------------------
 

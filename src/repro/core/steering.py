@@ -563,8 +563,8 @@ def make_policy(kind: str, fu_class: FUClass, num_modules: int,
 # The paper's menu, registered in-module: make_policy resolves through
 # the registry, so these builders must reproduce the pre-registry
 # factory byte for byte (tests/core/test_registry.py holds them to a
-# hand-written reference).  Fused batch kernels are attached by
-# repro.batch.kernels / kernels_np at their import.
+# hand-written reference).  Columnar batch kernels are attached by
+# repro.batch.kernels_np at its import.
 
 
 def _build_original(req: PolicyRequest) -> SteeringPolicy:

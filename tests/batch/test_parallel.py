@@ -46,7 +46,7 @@ class TestByteStability:
         assert _flat(three) == _flat(serial)
 
     def test_engines_agree_under_parallelism(self, tmp_path):
-        batch = _run(2, tmp_path, engine="batch")
+        batch = _run(2, tmp_path, engine="batch-np")
         obj = _run(2, tmp_path, engine="object")
         assert _flat(batch) == _flat(obj)
 

@@ -1,21 +1,28 @@
 """Bit-identity between the object and batch evaluation engines.
 
 The object path (:func:`repro.streams.drive` over reconstructed
-``IssueGroup`` objects) is the reference oracle; the fused columnar
-kernels — in *both* kernel backends, pure-Python and NumPy — must
-accumulate *exactly* the same ``EvaluationTotals`` and telemetry
+``IssueGroup`` objects) is the reference oracle; the columnar kernels
+must accumulate *exactly* the same ``EvaluationTotals`` and telemetry
 counters for every steering scheme, both hardware-swap regimes, and
-both speculative settings, on random programs.  The NumPy leg is
-skipped transparently when numpy is absent.
+both speculative settings, on random programs.  Where a test is
+parametrised over :data:`DRIVE_ROUTES` it checks both of
+:func:`~repro.batch.batch_drive`'s routes: the columnar kernels, and the
+object-decoding fall-through pass.
 """
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.batch import NUMPY_AVAILABLE, batch_drive, pack_stream
+import repro.batch.kernels as kernels_module
+from repro.batch import batch_drive, pack_stream
+from repro.batch.kernels_np import _match, kernel_for
+from repro.core.assignment import solve
 from repro.core.info_bits import scheme_for
 from repro.core.statistics import paper_statistics
-from repro.core.steering import PolicyEvaluator, make_policy
+from repro.core.lut import build_lut
+from repro.core.registry import REGISTRY
+from repro.core.steering import LUTPolicy, PolicyEvaluator, make_policy
 from repro.core.swapping import HardwareSwapper, choose_swap_case
 from repro.analysis.bit_patterns import BitPatternCollector
 from repro.analysis.module_usage import ModuleUsageCollector
@@ -30,9 +37,11 @@ SCHEME_KINDS = ("original", "round-robin", "full-ham", "1bit-ham",
                 "lut-4", "lut-2", "bdd-4")
 NUM_MODULES = 4
 
-# every kernel backend available in this interpreter; the object path
-# is always the oracle they are compared against
-KERNEL_BACKENDS = ("python", "np") if NUMPY_AVAILABLE else ("python",)
+# batch_drive's two routes: "np" runs each consumer's columnar kernel
+# and first checks that one resolves, so a match cannot come from a
+# silent fall-through; "python" declines every kernel, so all consumers
+# share batch_drive's object-decoding pass and finalize hooks
+DRIVE_ROUTES = ("python", "np")
 
 
 def _evaluator_set(telemetry=None, fu_class=FUClass.IALU,
@@ -73,14 +82,23 @@ def _assert_identical(reference, batch):
         assert batch[kind].totals() == reference[kind].totals(), kind
 
 
+def _route_drive(packed, consumers, route, monkeypatch):
+    consumers = list(consumers)
+    if route == "python":
+        monkeypatch.setattr(kernels_module, "_kernel_for",
+                            lambda consumer, packed: None)
+    else:
+        for consumer in consumers:
+            assert kernel_for(consumer, packed) is not None, consumer
+    batch_drive(packed, consumers)
+
+
 def _run_both(memory, fu_class=FUClass.IALU, num_modules=NUM_MODULES):
     reference = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
     drive(memory, list(reference.values()))
-    packed = pack_stream(memory.groups())
-    for backend in KERNEL_BACKENDS:
-        batch = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
-        batch_drive(packed, list(batch.values()), backend=backend)
-        _assert_identical(reference, batch)
+    batch = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
+    batch_drive(pack_stream(memory.groups()), list(batch.values()))
+    _assert_identical(reference, batch)
 
 
 class TestEngineParity:
@@ -104,8 +122,9 @@ class TestEngineParity:
         memory = capture(LiveSource(workload("swim").build(1)))
         _run_both(memory, fu_class=FUClass.FPAU)
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_round_robin_state_carries_across_streams(self, backend):
+    @pytest.mark.parametrize("route", DRIVE_ROUTES)
+    def test_round_robin_state_carries_across_streams(self, route,
+                                                      monkeypatch):
         # the rotation pointer must advance identically when one policy
         # instance sees two streams back to back
         first = capture(LiveSource(workload("compress").build(1)))
@@ -122,14 +141,14 @@ class TestEngineParity:
 
         ref = one_path(lambda mem, ev: drive(mem, [ev]))
         batch = one_path(
-            lambda mem, ev: batch_drive(pack_stream(mem.groups()), [ev],
-                                        backend=backend))
+            lambda mem, ev: _route_drive(pack_stream(mem.groups()), [ev],
+                                         route, monkeypatch))
         assert batch == ref
 
 
 class TestTelemetryParity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_counters_match_object_session(self, backend):
+    @pytest.mark.parametrize("route", DRIVE_ROUTES)
+    def test_counters_match_object_session(self, route, monkeypatch):
         memory = capture(LiveSource(workload("compress").build(1)))
 
         ref_session = TelemetrySession(TelemetryConfig(metrics=True))
@@ -138,8 +157,8 @@ class TestTelemetryParity:
 
         batch_session = TelemetrySession(TelemetryConfig(metrics=True))
         batch = _evaluator_set(telemetry=batch_session)
-        batch_drive(pack_stream(memory.groups()), list(batch.values()),
-                    backend=backend)
+        _route_drive(pack_stream(memory.groups()), batch.values(), route,
+                     monkeypatch)
 
         _assert_identical(reference, batch)
         ref_counters = ref_session.collect_counters()
@@ -150,8 +169,8 @@ class TestTelemetryParity:
 
 
 class TestCollectorParity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_statistics_collectors_match(self, backend):
+    @pytest.mark.parametrize("route", DRIVE_ROUTES)
+    def test_statistics_collectors_match(self, route, monkeypatch):
         memory = capture(LiveSource(workload("compress").build(1)))
         packed = pack_stream(memory.groups())
         for include_spec in (True, False):
@@ -163,8 +182,8 @@ class TestCollectorParity:
             batch_patterns = BitPatternCollector(
                 FUClass.IALU, include_speculative=include_spec)
             batch_usage = ModuleUsageCollector()
-            batch_drive(packed, [batch_patterns, batch_usage],
-                        backend=backend)
+            _route_drive(packed, [batch_patterns, batch_usage], route,
+                         monkeypatch)
 
             assert batch_patterns.total_ops == ref_patterns.total_ops
             for key, row in ref_patterns.rows.items():
@@ -173,36 +192,27 @@ class TestCollectorParity:
                     (row.count, row.ones_op1, row.ones_op2), key
             assert batch_usage.counts == ref_usage.counts
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_filtered_usage_collector_matches(self, backend):
+    @pytest.mark.parametrize("route", DRIVE_ROUTES)
+    def test_filtered_usage_collector_matches(self, route, monkeypatch):
         memory = capture(LiveSource(workload("compress").build(1)))
         ref = ModuleUsageCollector([FUClass.IALU])
         drive(memory, [ref])
         batch = ModuleUsageCollector([FUClass.IALU])
-        batch_drive(pack_stream(memory.groups()), [batch], backend=backend)
+        _route_drive(pack_stream(memory.groups()), [batch], route,
+                     monkeypatch)
         assert batch.counts == ref.counts
 
 
 class TestBackendDispatch:
-    def test_resolve_backend(self):
-        from repro.batch import resolve_backend
-        expected = "np" if NUMPY_AVAILABLE else "python"
-        assert resolve_backend(None) == expected
-        assert resolve_backend("auto") == expected
-        assert resolve_backend("python") == "python"
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
     def test_resolve_engine(self):
         from repro.batch import resolve_engine
-        assert resolve_engine("auto") == (
-            "batch-np" if NUMPY_AVAILABLE else "batch")
+        assert resolve_engine("auto") == "batch-np"
+        assert resolve_engine(None) == "batch-np"
         assert resolve_engine("object") == "object"
-        assert resolve_engine("batch") == "batch"
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
+        for retired in ("batch", "warp"):
+            with pytest.raises(ValueError, match="batch-np"):
+                resolve_engine(retired)
 
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="requires numpy")
     def test_run_figure4_engines_identical(self, tmp_path):
         from repro.analysis.energy import run_figure4
         from repro.workloads import workload as load
@@ -213,49 +223,91 @@ class TestBackendDispatch:
                     for key, cell in result.cells.items()}
 
         results = {}
-        for engine in ("object", "batch", "batch-np"):
+        for engine in ("object", "batch-np"):
             results[engine] = run_figure4(
                 FUClass.IALU, workloads=[load("compress")],
                 schemes=("original", "lut-4"), swap_modes=("none", "hw"),
                 trace_cache_dir=tmp_path, engine=engine)
-        reference = results["object"]
-        for engine in ("batch", "batch-np"):
-            assert cells(results[engine]) == cells(reference), engine
-            assert repr(results[engine].statistics) == \
-                repr(reference.statistics), engine
+        reference, batch = results["object"], results["batch-np"]
+        assert cells(batch) == cells(reference)
+        assert repr(batch.statistics) == repr(reference.statistics)
 
 
 class TestBDDFallThrough:
-    """The bdd family registers a fused python kernel only: the np
-    backend must fall through to it via the registry (not crash, not
-    silently diverge), and a scheme mismatch must fall through to the
-    object path."""
+    """The bdd family runs on the vectorised LUT kernel (it shares
+    ``LUTPolicy._assign_cases``); both batch_drive routes must match the
+    object path for it."""
 
-    def _bdd_evaluator(self, stats):
-        policy = make_policy("bdd-4", FUClass.IALU, NUM_MODULES, stats=stats)
-        return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
-
-    def test_no_np_kernel_registered(self):
-        from repro.core.registry import REGISTRY
-        stats = paper_statistics(FUClass.IALU)
-        policy = make_policy("bdd-4", FUClass.IALU, NUM_MODULES, stats=stats)
-        assert REGISTRY.kernel_factory(policy, "np") is None
-        assert REGISTRY.kernel_factory(policy, "python") is not None
-
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_engines_identical_for_bdd(self, backend):
+    @pytest.mark.parametrize("route", DRIVE_ROUTES)
+    def test_engines_identical_for_bdd(self, route, monkeypatch):
         memory = capture(LiveSource(workload("compress").build(1)))
         stats = paper_statistics(FUClass.IALU)
-        reference = self._bdd_evaluator(stats)
+
+        def build():
+            policy = make_policy("bdd-4", FUClass.IALU, NUM_MODULES,
+                                 stats=stats)
+            return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
+
+        reference = build()
         drive(memory, [reference])
-        batch = self._bdd_evaluator(stats)
-        batch_drive(pack_stream(memory.groups()), [batch], backend=backend)
+        batch = build()
+        _route_drive(pack_stream(memory.groups()), [batch], route,
+                     monkeypatch)
         assert batch.totals() == reference.totals()
 
-    def test_scheme_mismatch_falls_through_to_object_path(self):
-        # an FP-scheme bdd policy over an integer stream: the fused
-        # kernel's guard declines and the object path must still agree
+
+class TestFallThrough:
+    """Every built-in family has exactly one kernel; a policy no kernel
+    covers — an unregistered subclass, or a registered family whose
+    factory declines — reaches the object path and matches it."""
+
+    def test_every_builtin_family_resolves_one_kernel(self):
         memory = capture(LiveSource(workload("compress").build(1)))
+        packed = pack_stream(memory.groups())
+        stats = paper_statistics(FUClass.IALU)
+
+        def build(kind):
+            policy = make_policy(kind, FUClass.IALU, NUM_MODULES,
+                                 stats=stats)
+            return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
+
+        for family in REGISTRY.families():
+            kind = family.grid_kinds[0] if family.grid_kinds else family.name
+            batch = build(kind)
+            assert REGISTRY.family_of(batch.policy) is family, kind
+            assert REGISTRY.has_kernel(family.name), kind
+            assert kernel_for(batch, packed) is not None, kind
+            batch_drive(packed, [batch])
+            reference = build(kind)
+            drive(memory, [reference])
+            assert batch.totals() == reference.totals(), kind
+
+    @staticmethod
+    def _assert_object_path_matches(build):
+        memory = capture(LiveSource(workload("compress").build(1)))
+        packed = pack_stream(memory.groups())
+        reference = build()
+        drive(memory, [reference])
+        batch = build()
+        assert kernel_for(batch, packed) is None
+        batch_drive(packed, [batch])
+        assert batch.totals() == reference.totals()
+
+    def test_unregistered_subclass_reaches_object_path(self):
+        class LocalLUT(LUTPolicy):
+            pass
+
+        lut = build_lut(paper_statistics(FUClass.IALU), NUM_MODULES, 4)
+
+        def build():
+            policy = LocalLUT(lut=lut, scheme=scheme_for(FUClass.IALU))
+            return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
+
+        self._assert_object_path_matches(build)
+
+    def test_scheme_mismatch_falls_through_to_object_path(self):
+        # an FP-scheme bdd policy over an integer stream: the kernel
+        # factory's guard declines and the object path must still agree
         stats = paper_statistics(FUClass.IALU)
 
         def build():
@@ -263,13 +315,28 @@ class TestBDDFallThrough:
                                  stats=stats, scheme=scheme_for(FUClass.FPAU))
             return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
 
-        reference = build()
-        drive(memory, [reference])
-        for backend in KERNEL_BACKENDS:
-            batch = build()
-            batch_drive(pack_stream(memory.groups()), [batch],
-                        backend=backend)
-            assert batch.totals() == reference.totals(), backend
+        self._assert_object_path_matches(build)
+
+
+@st.composite
+def cost_matrices(draw):
+    num_modules = draw(st.integers(min_value=1, max_value=8))
+    num_ops = draw(st.integers(min_value=1, max_value=num_modules))
+    row = st.lists(st.integers(min_value=0, max_value=3),
+                   min_size=num_modules, max_size=num_modules)
+    return draw(st.lists(row, min_size=num_ops, max_size=num_ops))
+
+
+class TestMatcher:
+    @settings(max_examples=200, deadline=None)
+    @given(cost_matrices())
+    def test_match_picks_what_solve_picks(self, costs):
+        # the full-Hamming kernel's matcher and the object path's solve
+        # must choose the same modules, ties included, on both sides of
+        # the brute-force limit (small costs make ties common)
+        num_modules = len(costs[0])
+        assert _match(costs, len(costs), num_modules, {}) == \
+            solve(costs)[0]
 
 
 class TestFallbackPath:

@@ -1,17 +1,18 @@
 """Property tests for every popcount in the batch layer.
 
 All three implementations — the :data:`POPCOUNT16` table walker, the
-native ``int.bit_count`` shortcut, and the vectorized NumPy twin —
+native ``int.bit_count`` shortcut, and the vectorized ``popcount64`` —
 must agree with one shared reference oracle on random 64-bit values
 and on the boundary values where a lane-split popcount would break.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import NUMPY_AVAILABLE, POPCOUNT16
-from repro.batch.kernels import _bit_count, _table_bit_count
+from repro.batch import POPCOUNT16, popcount64
+from repro.batch.kernels_np import _bit_count, _table_bit_count
 
 
 def oracle(value: int) -> int:
@@ -47,29 +48,19 @@ class TestPopcountTable:
         assert _bit_count(value) == oracle(value)
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="requires numpy")
 class TestPopcount64Vector:
     def test_boundaries(self):
-        import numpy as np
-
-        from repro.batch import popcount64
         values = np.array(BOUNDARIES, dtype=np.uint64)
         assert popcount64(values).tolist() == \
             [oracle(v) for v in BOUNDARIES]
 
     def test_empty(self):
-        import numpy as np
-
-        from repro.batch import popcount64
         assert popcount64(np.zeros(0, dtype=np.uint64)).tolist() == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                     min_size=1, max_size=64))
     def test_random_64_bit_vectors(self, values):
-        import numpy as np
-
-        from repro.batch import popcount64
         array = np.array(values, dtype=np.uint64)
         assert popcount64(array).tolist() == [oracle(v) for v in values]
 
@@ -77,9 +68,6 @@ class TestPopcount64Vector:
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                     min_size=1, max_size=64))
     def test_matches_scalar_table_walker(self, values):
-        import numpy as np
-
-        from repro.batch import popcount64
         array = np.array(values, dtype=np.uint64)
         assert popcount64(array).tolist() == \
             [_table_bit_count(v) for v in values]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.batch  # noqa: F401 -- registers the fused batch kernels
+import repro.batch  # noqa: F401 -- registers the columnar batch kernels
 from repro.core.bdd import BDDPolicy
 from repro.core.info_bits import scheme_for
 from repro.core.lut import build_lut
@@ -154,7 +154,7 @@ class TestRegistration:
     def test_kernel_for_unknown_family_rejected(self):
         registry = PolicyRegistry()
         with pytest.raises(ValueError, match="unknown policy family"):
-            registry.register_kernel("ghost", "python", lambda ev, cols: None)
+            registry.register_kernel("ghost", lambda ev, cols: None)
 
 
 class TestExactTypeKernelResolution:
@@ -175,15 +175,12 @@ class TestExactTypeKernelResolution:
         lut = build_lut(ialu_stats, 4, 4)
         policy = LocalLUT(lut=lut, scheme=scheme_for(FUClass.IALU))
         assert REGISTRY.family_of(policy) is None
-        assert REGISTRY.kernel_factory(policy, "python") is None
+        assert REGISTRY.kernel_factory(policy) is None
 
-    def test_kernel_backend_coverage(self):
-        assert REGISTRY.kernel_backends("lut") == ("np", "python")
-        assert REGISTRY.kernel_backends("original") == ("np", "python")
-        # the Hamming matcher's np kernel is deliberately absent, as is
-        # any fused bdd kernel on np: both exercise fall-through
-        assert REGISTRY.kernel_backends("full-ham") == ("python",)
-        assert REGISTRY.kernel_backends("bdd") == ("python",)
+    def test_every_builtin_family_has_a_kernel(self):
+        for family in REGISTRY.families():
+            assert REGISTRY.has_kernel(family.name), family.name
+        assert not PolicyRegistry().has_kernel("lut")
 
 
 class TestMetadata:

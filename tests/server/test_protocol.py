@@ -47,6 +47,7 @@ def test_baseline_policy_always_present():
     ({"cycles": 0}, "'cycles'"),
     ({"stats": "vibes"}, "'stats'"),
     ({"engine": "turbo"}, "'engine'"),
+    ({"engine": "batch"}, "batch-np, object"),
     ({"delay_ms": -5}, "'delay_ms'"),
     ({"config": {"telemetry": 1}}, "unknown config override"),
     ({"config": {"rob_entries": "many"}}, "must be an int"),
@@ -105,7 +106,7 @@ def test_engine_and_delay_excluded_from_key():
     """All engines are bit-identical and delay_ms is a test knob, so
     neither may split the cache."""
     a = parse_request({"synthetic": True, "engine": "object"})
-    b = parse_request({"synthetic": True, "engine": "batch"})
+    b = parse_request({"synthetic": True, "engine": "batch-np"})
     c = parse_request({"synthetic": True, "delay_ms": 50})
     assert request_key(a, []) == request_key(b, []) == request_key(c, [])
 

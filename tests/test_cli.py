@@ -71,6 +71,7 @@ class TestCli:
         for family in ("original", "round-robin", "full-ham", "1bit-ham",
                        "lut-<bits>", "bdd-<bits>"):
             assert family in output
+        assert "columnar" in output
         assert "default CLI policies" in output
         assert "figure-4 grid" in output
 
